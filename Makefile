@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-campaign test-fleet test-fsc check vet fmt lint docs-check fuzz-smoke bench bench-smoke table1 fig5bounds
+.PHONY: build test test-short test-campaign test-fleet test-fsc test-e2ebench check vet fmt lint docs-check fuzz-smoke bench bench-smoke table1 fig5bounds
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,13 @@ test-fleet:
 test-fsc:
 	$(GO) test -race -run 'FSC' ./internal/controller/ ./internal/sim/
 
+# The benchmark module's own tests (e2ebench/ is a separate Go module, so
+# `go test ./...` at the root does not reach it). They include the
+# 10,000-episode replay of the committed Table 1 bounded row, so a hot-path
+# change that moves a single decision fails here.
+test-e2ebench:
+	$(GO) -C e2ebench test ./...
+
 # Fuzz smoke: a few seconds per fuzz target over the trust boundaries —
 # checkpoint EpisodeState JSON decode, log-record framing, and the compiled
 # FSC artifact decoder. Corpus additions land under the packages'
@@ -61,12 +68,13 @@ fuzz-smoke:
 
 # The full gate: formatting, vet, the docs gate, the complete test suite
 # (chaos campaign included) under the race detector, the FSC
-# campaign-equality gate, and the fuzz smoke.
+# campaign-equality gate, the benchmark module's tests, and the fuzz smoke.
 check: fmt
 	$(GO) vet ./...
 	$(MAKE) docs-check
 	$(GO) test -race ./...
 	$(MAKE) test-fsc
+	$(MAKE) test-e2ebench
 	$(MAKE) fuzz-smoke
 
 # Benchmark smoke: short measurements diffed against the committed baseline.

@@ -18,6 +18,11 @@
 //     preallocated output slice (the batched engine's leaf evaluation)
 //   - batch_decide — controller.Bounded.DecideBatch over the same batch with
 //     reused decision buffers (the full batched Max-Avg expansion)
+//   - update_at — one bounds.Updater.UpdateAt (the Eq. 7 online bound
+//     update) at a reachable belief of a warmed EMN set
+//   - tree_choose_d{1,2,3} — one sequential controller.Engine.ChooseInto
+//     (the Max-Avg tree with set leaves) at depth 1, 2 and 3 over the same
+//     beliefs and set
 //   - fsc_decide — controller.FSCDecider.DecideBatch over a batch of
 //     compiled-table beliefs (the table-lookup fast path; compare per
 //     decision against batch_decide for the compilation speedup)
@@ -166,7 +171,8 @@ func main() {
 		for _, w := range scalingWorkers {
 			names = append(names, fmt.Sprintf("campaign_seq_w%d", w), fmt.Sprintf("campaign_batched_w%d", w))
 		}
-		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "fsc_decide")
+		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "fsc_decide",
+			"update_at", "tree_choose_d1", "tree_choose_d2", "tree_choose_d3")
 		for _, name := range names {
 			e, ok := rep.Bench[name]
 			if !ok {
@@ -257,6 +263,9 @@ func run(episodes, workers int) (*Report, error) {
 		return nil, err
 	}
 	if err := benchBatch(rep, prep); err != nil {
+		return nil, err
+	}
+	if err := benchTree(rep, prep); err != nil {
 		return nil, err
 	}
 	if err := benchFSC(rep, compiled, prep, episodes); err != nil {
@@ -485,6 +494,9 @@ func benchBatch(rep *Report, prep *core.Prepared) error {
 	}
 
 	vals := make([]float64, batch)
+	// Warm once outside the timed region so the set's scan scratch is sized
+	// for the batch before measurement.
+	vals = prep.Set.ValueBatch(beliefs, vals)
 	rep.Bench["set_value_batch"] = entryOf(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -510,6 +522,107 @@ func benchBatch(rep *Report, prep *core.Prepared) error {
 			}
 		}
 	}))
+	return nil
+}
+
+// benchTree measures the two halves of an online-improving bounded
+// decision one belief at a time: the incremental bound update and the
+// sequential Max-Avg tree. Both cycle through 64 reachable beliefs — the
+// initial belief and its successors, breadth-first, which are as sparse as
+// the beliefs an episode visits — over private copies of the bootstrapped
+// set, warmed by one update at every belief. The tree runs on a frozen copy
+// of the warmed set; the updater's copy is capped at its warmed size, so
+// every kept plane evicts one and the set the timed updates scan stays the
+// same size however many iterations run.
+func benchTree(rep *Report, prep *core.Prepared) error {
+	p := prep.Model
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		return err
+	}
+	const maxBeliefs = 64
+	beliefs := []pomdp.Belief{initial}
+	sc := pomdp.NewScratch(p)
+	for next := 0; next < len(beliefs) && len(beliefs) < maxBeliefs; next++ {
+		for a := 0; a < p.NumActions(); a++ {
+			for _, succ := range p.Successors(sc, beliefs[next], a) {
+				if len(beliefs) < maxBeliefs {
+					beliefs = append(beliefs, succ.Belief)
+				}
+			}
+		}
+	}
+	clone := func(s *bounds.Set) (*bounds.Set, error) {
+		data, err := s.MarshalJSON()
+		if err != nil {
+			return nil, err
+		}
+		c := new(bounds.Set)
+		return c, c.UnmarshalJSON(data)
+	}
+	set, err := clone(prep.Set)
+	if err != nil {
+		return err
+	}
+	updater, err := bounds.NewUpdater(p, set, bounds.Options{})
+	if err != nil {
+		return err
+	}
+	for _, pi := range beliefs {
+		if _, err := updater.UpdateAt(pi); err != nil {
+			return err
+		}
+	}
+	frozen, err := clone(set)
+	if err != nil {
+		return err
+	}
+	set.SetCapacity(set.Size())
+	// One iteration is a pass over every belief, reported per call: the
+	// beliefs' costs differ by orders of magnitude (the initial belief is the
+	// densest), so a partial pass would make ns/op depend on -mintime.
+	perCall := func(r testing.BenchmarkResult) Entry {
+		calls := uint64(r.N * len(beliefs))
+		return Entry{
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(calls),
+			AllocsPerOp: int64(r.MemAllocs / calls),
+			BytesPerOp:  int64(r.MemBytes / calls),
+			Iterations:  int(calls),
+		}
+	}
+	rep.Bench["update_at"] = perCall(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pi := range beliefs {
+				if _, err := updater.UpdateAt(pi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}))
+	for depth := 1; depth <= 3; depth++ {
+		engine, err := controller.NewEngine(p, depth, 1, frozen)
+		if err != nil {
+			return err
+		}
+		var res pomdp.BackupResult
+		// Size the engine's per-level scratch outside the timed region.
+		for _, pi := range beliefs {
+			if err := engine.ChooseInto(pi, &res); err != nil {
+				return err
+			}
+		}
+		rep.Bench[fmt.Sprintf("tree_choose_d%d", depth)] = perCall(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, pi := range beliefs {
+					if err := engine.ChooseInto(pi, &res); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}))
+	}
 	return nil
 }
 

@@ -39,6 +39,11 @@ func TestRunProducesReport(t *testing.T) {
 	if e := rep.Bench["belief_update"]; e.AllocsPerOp != 0 {
 		t.Errorf("belief_update allocates (%d allocs/op); the reuse path must be allocation-free", e.AllocsPerOp)
 	}
+	for _, name := range []string{"set_value_batch", "batch_decide", "update_at", "tree_choose_d1", "tree_choose_d2", "tree_choose_d3"} {
+		if e, ok := rep.Bench[name]; !ok || e.NsPerOp <= 0 || e.Iterations <= 0 {
+			t.Errorf("%s: missing or implausible result %+v", name, e)
+		}
+	}
 	for _, name := range []string{"campaign_sequential", "campaign_parallel"} {
 		e := rep.Bench[name]
 		if e.EpisodesPerSec <= 0 || e.Episodes != 4 {

@@ -41,6 +41,22 @@ func randomBeliefs(stream *rng.Stream, m, n int) []pomdp.Belief {
 	return pis
 }
 
+// mixedBeliefs draws m points of the n-simplex of every density: each is
+// supported on a random number of states (1 to n), so the batch mixes
+// beliefs the support scan takes with beliefs above its dense cutoff.
+func mixedBeliefs(stream *rng.Stream, m, n int) []pomdp.Belief {
+	pis := randomBeliefs(stream, m, n)
+	for _, pi := range pis {
+		for _, s := range stream.Perm(n)[:stream.IntN(n)] {
+			pi[s] = 0
+		}
+		if !pi.Vec().Normalize() {
+			pi[stream.IntN(n)] = 1
+		}
+	}
+	return pis
+}
+
 // buildSet adds the given planes to a fresh set (capacity optional),
 // interleaving value queries from the driver so usage counters shape
 // eviction exactly as the caller scripts them.
@@ -62,9 +78,10 @@ func buildSet(t *testing.T, n, capacity int, planes []linalg.Vector) *Set {
 }
 
 // TestValueBatchMatchesValueArg is the property test pinning ValueBatch's
-// bit-identity contract: across random sets and random beliefs, the batched
-// values equal the per-belief ValueArg values exactly (==, not within
-// epsilon), and both paths bump identical usage counters.
+// bit-identity contract: across random sets and random beliefs of every
+// density (support scan and dense kernel alike), the batched values equal
+// the per-belief ValueArg values exactly (==, not within epsilon), and both
+// paths bump identical usage counters.
 func TestValueBatchMatchesValueArg(t *testing.T) {
 	stream := rng.New(2024)
 	for trial := 0; trial < 50; trial++ {
@@ -72,7 +89,7 @@ func TestValueBatchMatchesValueArg(t *testing.T) {
 		k := 1 + stream.IntN(12)
 		m := 1 + stream.IntN(40)
 		planes := randomPlanes(stream.SplitN("planes", trial), k, n)
-		pis := randomBeliefs(stream.SplitN("beliefs", trial), m, n)
+		pis := mixedBeliefs(stream.SplitN("beliefs", trial), m, n)
 
 		ref := buildSet(t, n, 0, planes)
 		bat := buildSet(t, n, 0, planes)
@@ -99,8 +116,9 @@ func TestValueBatchMatchesValueArg(t *testing.T) {
 
 // TestValueBatchEvictionParity drives two identically-built capacity-capped
 // twin sets — one through ValueArg, one through ValueBatch — with the same
-// interleaving of queries and Adds. Identical counter bumps must produce
-// identical evictions, leaving identical slabs.
+// interleaving of queries and Adds, over beliefs of every density.
+// Identical counter bumps must produce identical evictions, leaving
+// identical slabs.
 func TestValueBatchEvictionParity(t *testing.T) {
 	stream := rng.New(7)
 	const n, capacity = 4, 5
@@ -110,7 +128,7 @@ func TestValueBatchEvictionParity(t *testing.T) {
 
 	out := make([]float64, 0, 16)
 	for round := 0; round < 30; round++ {
-		pis := randomBeliefs(stream.SplitN("q", round), 1+stream.IntN(8), n)
+		pis := mixedBeliefs(stream.SplitN("q", round), 1+stream.IntN(8), n)
 		for _, pi := range pis {
 			ref.ValueArg(pi)
 		}

@@ -50,7 +50,10 @@ var ErrEmptySet = errors.New("bounds: empty hyperplane set")
 // The planes are stored structure-of-arrays style in one contiguous
 // []float64 slab (plane i occupies slab[i·n : (i+1)·n]), so the
 // max-of-hyperplanes scan streams a single allocation linearly and
-// ValueBatch can amortize one pass over the slab across many beliefs.
+// ValueBatch can amortize one pass over the slab across many beliefs. The
+// scans visit only a belief's nonzero entries (linalg.DotSupport) unless
+// more than half of them are nonzero; both kernels return the same bits on
+// the set's planes, which are finite by construction.
 //
 // A Set is not safe for concurrent mutation (Add vs anything else), but
 // Value/ValueArg/ValueBatch are safe to call from several goroutines at once
@@ -59,11 +62,13 @@ var ErrEmptySet = errors.New("bounds: empty hyperplane set")
 // set (e.g. a pool of campaign workers evaluating the same bootstrapped
 // bound).
 type Set struct {
-	slab      []float64 // plane i is slab[i*n : (i+1)*n]
-	uses      []uint64  // accessed atomically in ValueArg/ValueBatch; plainly under mutation
-	maxLen    int       // 0 = unlimited
-	n         int       // state count
-	argPool   sync.Pool // *[]int argmax scratch for ValueBatch
+	slab      []float64   // plane i is slab[i*n : (i+1)*n]
+	uses      []uint64    // accessed atomically in ValueArg/ValueBatch; plainly under mutation
+	maxLen    int         // 0 = unlimited
+	n         int         // state count
+	local     scanScratch // scan scratch of the uncontended caller, owned while localBusy
+	localBusy atomic.Bool
+	scratch   sync.Pool // *scanScratch for concurrent callers
 	evictions uint64    // capacity evictions performed; read atomically by Evictions
 }
 
@@ -118,23 +123,73 @@ func (s *Set) Value(pi pomdp.Belief) float64 {
 // ValueArg is Value plus the index of the maximizing hyperplane (-1 when
 // the set is empty).
 func (s *Set) ValueArg(pi pomdp.Belief) (float64, int) {
-	best, arg := math.Inf(-1), -1
-	for i := 0; i < len(s.uses); i++ {
-		if v := linalg.DotUnrolled(pi, s.row(i)); v > best {
-			best, arg = v, i
-		}
-	}
+	best, arg := s.scan(pi)
 	if arg >= 0 {
 		atomic.AddUint64(&s.uses[arg], 1)
 	}
 	return best, arg
 }
 
+// Peek evaluates V_B⁻(π) without recording a use of the maximizing plane.
+// Observability callers (decision stats, bound-gap traces) use it so that
+// inspecting the bound cannot perturb least-used eviction and thereby change
+// which planes a capacity-limited set keeps.
+func (s *Set) Peek(pi pomdp.Belief) float64 {
+	best, _ := s.scan(pi)
+	return best
+}
+
+// scan returns max_b π·b and the first maximizing plane (-1 when the set is
+// empty), computing π's support once and scanning every plane over it.
+func (s *Set) scan(pi pomdp.Belief) (float64, int) {
+	sc := s.getScratch(0)
+	defer s.putScratch(sc) // also on the dimension-mismatch panic
+	sup, sparse := s.support(sc.sup[:0], pi)
+	best, arg := math.Inf(-1), -1
+	for i := 0; i < len(s.uses); i++ {
+		var v float64
+		if sparse {
+			v = linalg.DotSupport(pi, s.row(i), sup)
+		} else {
+			v = linalg.DotUnrolled(pi, s.row(i))
+		}
+		if v > best {
+			best, arg = v, i
+		}
+	}
+	sc.sup = sup
+	return best, arg
+}
+
+// support appends the indices of π's nonzero entries to dst and reports
+// whether π is sparse enough for the support scan: at most half of its n
+// entries nonzero. Denser beliefs (and beliefs of the wrong length, so that
+// the dense kernel panics on them) report false, stopping early, with dst
+// returned at its original length. The rule is fixed: linalg.DotSupport is
+// bit-identical to the dense kernel on the set's finite planes, so the
+// cutoff only decides which of two equal computations is cheaper.
+func (s *Set) support(dst []int, pi pomdp.Belief) ([]int, bool) {
+	if len(pi) != s.n {
+		return dst, false
+	}
+	start, limit := len(dst), len(dst)+s.n/2
+	for i, x := range pi {
+		if x != 0 {
+			if len(dst) == limit {
+				return dst[:start], false
+			}
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
+}
+
 // ValueBatch evaluates V_B⁻ at every belief in pis with one linear pass over
 // the plane slab (plane-outer, belief-inner), writing the values into out
-// (grown if its capacity is insufficient) and returning it. Each result is
-// bit-identical to Value on the same belief — the per-plane dot products use
-// the same kernel and the same first-maximizer comparison — and the usage
+// (grown if its capacity is insufficient) and returning it. Each belief's
+// support is computed once up front and every plane is scanned over it (the
+// dense kernel for beliefs above the cutoff), exactly as ValueArg does, so
+// each result is bit-identical to Value on the same belief; and the usage
 // counter of each belief's maximizing plane is bumped exactly as ValueArg
 // would, so eviction behaviour is unchanged. With a preallocated out the
 // call performs no allocations in steady state.
@@ -144,16 +199,29 @@ func (s *Set) ValueBatch(pis []pomdp.Belief, out []float64) []float64 {
 		out = make([]float64, m)
 	}
 	out = out[:m]
-	argp := s.getArgs(m)
-	args := *argp
-	for j := range out {
+	sc := s.getScratch(m)
+	defer s.putScratch(sc)
+	args := sc.args
+	sup := sc.sup[:0]
+	for j, pi := range pis {
 		out[j] = math.Inf(-1)
 		args[j] = -1
+		sup, sc.sparse[j] = s.support(sup, pi)
+		sc.ends[j] = len(sup)
 	}
 	for i := 0; i < len(s.uses); i++ {
 		plane := s.row(i)
+		lo := 0
 		for j, pi := range pis {
-			if v := linalg.DotUnrolled(pi, plane); v > out[j] {
+			hi := sc.ends[j]
+			var v float64
+			if sc.sparse[j] {
+				v = linalg.DotSupport(pi, plane, sup[lo:hi])
+			} else {
+				v = linalg.DotUnrolled(pi, plane)
+			}
+			lo = hi
+			if v > out[j] {
 				out[j], args[j] = v, i
 			}
 		}
@@ -163,35 +231,50 @@ func (s *Set) ValueBatch(pis []pomdp.Belief, out []float64) []float64 {
 			atomic.AddUint64(&s.uses[a], 1)
 		}
 	}
-	s.argPool.Put(argp)
+	sc.sup = sup
 	return out
 }
 
-// getArgs returns a pooled argmax scratch slice of length m.
-func (s *Set) getArgs(m int) *[]int {
-	p, _ := s.argPool.Get().(*[]int)
-	if p == nil {
-		p = new([]int)
-	}
-	if cap(*p) < m {
-		*p = make([]int, m)
-	}
-	*p = (*p)[:m]
-	return p
+// scanScratch is the per-call scratch of the plane scans: the concatenated
+// supports of the scanned beliefs (belief j's support ends at ends[j];
+// sparse[j] is false when it takes the dense kernel) and ValueBatch's
+// argmax indices.
+type scanScratch struct {
+	args   []int
+	sup    []int
+	ends   []int
+	sparse []bool
 }
 
-// Peek evaluates V_B⁻(π) without recording a use of the maximizing plane.
-// Observability callers (decision stats, bound-gap traces) use it so that
-// inspecting the bound cannot perturb least-used eviction and thereby change
-// which planes a capacity-limited set keeps.
-func (s *Set) Peek(pi pomdp.Belief) float64 {
-	best := math.Inf(-1)
-	for i := 0; i < len(s.uses); i++ {
-		if v := linalg.DotUnrolled(pi, s.row(i)); v > best {
-			best = v
-		}
+// getScratch returns scan scratch sized for m beliefs. The set's own
+// scratch serves whichever caller
+// claims it first; a concurrent caller takes pooled scratch instead. (A
+// sync.Pool alone would allocate whenever the goroutine migrated between
+// Ps, since an item put on one P's private slot cannot be taken from
+// another.)
+func (s *Set) getScratch(m int) *scanScratch {
+	var sc *scanScratch
+	if s.localBusy.CompareAndSwap(false, true) {
+		sc = &s.local
+	} else if sc, _ = s.scratch.Get().(*scanScratch); sc == nil {
+		sc = new(scanScratch)
 	}
-	return best
+	if cap(sc.args) < m {
+		sc.args = make([]int, m)
+		sc.ends = make([]int, m)
+		sc.sparse = make([]bool, m)
+	}
+	sc.args, sc.ends, sc.sparse = sc.args[:m], sc.ends[:m], sc.sparse[:m]
+	return sc
+}
+
+// putScratch releases scratch taken by getScratch.
+func (s *Set) putScratch(sc *scanScratch) {
+	if sc == &s.local {
+		s.localBusy.Store(false)
+		return
+	}
+	s.scratch.Put(sc)
 }
 
 // Evictions returns the number of capacity evictions performed so far. Safe

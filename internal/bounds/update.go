@@ -24,12 +24,30 @@ type Updater struct {
 	beta float64
 	set  *Set
 
-	pred  linalg.Vector   // Σ_s p(s'|s,a)·π(s)
-	g     linalg.Vector   // Σ_o q(o|s',a)·b_{a,o}(s')
-	cand  linalg.Vector   // candidate plane b_a
-	best  linalg.Vector   // best candidate so far
-	sel   []int           // chosen plane index per observation
-	score []linalg.Vector // score[i][o] = Σ_s' pred(s')·q(o|s',a)·plane_i(s')
+	pred   linalg.Vector // Σ_s p(s'|s,a)·π(s)
+	g      linalg.Vector // Σ_o q(o|s',a)·b_{a,o}(s')
+	cand   linalg.Vector // candidate plane b_a
+	best   linalg.Vector // best candidate so far
+	sel    []int         // chosen plane index per observation
+	cursor []int         // per-observation term count, then write cursor
+	terms  []term        // nonzero weights of the current action, grouped by observation
+	groups []obsGroup    // observations reachable under the current action, ascending
+}
+
+// term is one nonzero weight w = pred(s')·q(o|s',a) of an observation's
+// score Σ_s' w·plane(s').
+type term struct {
+	s int
+	w float64
+}
+
+// obsGroup is one reachable observation of the current action: its terms
+// (ascending s', ending at terms[end]) and the first plane maximizing its
+// score so far.
+type obsGroup struct {
+	o, end int
+	top    float64
+	sel    int
 }
 
 // NewUpdater creates an Updater that improves set in place on model p.
@@ -49,14 +67,15 @@ func NewUpdater(p *pomdp.POMDP, set *Set, opts Options) (*Updater, error) {
 	}
 	n, no := p.NumStates(), p.NumObservations()
 	return &Updater{
-		p:    p,
-		beta: o.Beta,
-		set:  set,
-		pred: linalg.NewVector(n),
-		g:    linalg.NewVector(n),
-		cand: linalg.NewVector(n),
-		best: linalg.NewVector(n),
-		sel:  make([]int, no),
+		p:      p,
+		beta:   o.Beta,
+		set:    set,
+		pred:   linalg.NewVector(n),
+		g:      linalg.NewVector(n),
+		cand:   linalg.NewVector(n),
+		best:   linalg.NewVector(n),
+		sel:    make([]int, no),
+		cursor: make([]int, no),
 	}, nil
 }
 
@@ -108,55 +127,91 @@ func (u *Updater) UpdateAt(pi pomdp.Belief) (UpdateResult, error) {
 }
 
 // backupAction computes the backed-up hyperplane for action a into u.cand.
+//
+// The plane chosen for observation o is the first strict maximizer, in plane
+// order, of score_i(o) = Σ_s' pred(s')·q(o|s',a)·plane_i(s'). The nonzero
+// weights are collected once per action and grouped by observation in
+// ascending s' (a stable counting sort over the CSR rows); each plane's
+// slab row is then scanned once per reachable observation, so every score
+// still sums its terms in ascending s' from +0. Unreachable observations
+// score zero under every plane and keep the base plane (index 0): the
+// choice does not affect the value at π, and any plane in B keeps the
+// result a valid bound.
 func (u *Updater) backupAction(pi pomdp.Belief, a int) {
 	p := u.p
-	n, no := p.NumStates(), p.NumObservations()
+	n := p.NumStates()
+	obs := p.Obs[a]
 
 	// pred(s') = Σ_s p(s'|s,a)·π(s).
 	p.Predict(u.pred, pi, a)
-
-	// Grow the per-plane score matrix lazily (the set grows over time).
-	for len(u.score) < u.set.Size() {
-		u.score = append(u.score, linalg.NewVector(no))
-	}
-	// score[i][o] = Σ_s' pred(s')·q(o|s',a)·plane_i(s').
-	for i := 0; i < u.set.Size(); i++ {
-		u.score[i].Fill(0)
+	cursor := u.cursor
+	for o := range cursor {
+		cursor[o] = 0
 	}
 	for s := 0; s < n; s++ {
-		ps := u.pred[s]
-		if ps == 0 {
-			continue
+		if ps := u.pred[s]; ps != 0 {
+			os, qs := obs.RowSlice(s)
+			for k, o := range os {
+				if ps*qs[k] != 0 {
+					cursor[o]++
+				}
+			}
 		}
-		p.Obs[a].Row(s, func(o int, q float64) {
-			w := ps * q
-			if w == 0 {
-				return
-			}
-			for i := 0; i < u.set.Size(); i++ {
-				u.score[i][o] += w * u.set.at(i, s)
-			}
-		})
 	}
-	// b^{π,a,o} = argmax_i score[i][o]. For observations unreachable from π
-	// the choice does not affect the value at π and any plane in B keeps the
-	// result a valid bound; we use the base plane (index 0).
-	for o := 0; o < no; o++ {
-		u.sel[o] = 0
-		best := u.score[0][o]
-		for i := 1; i < u.set.Size(); i++ {
-			if u.score[i][o] > best {
-				best = u.score[i][o]
-				u.sel[o] = i
+	u.groups = u.groups[:0]
+	end := 0
+	for o, c := range cursor {
+		if c > 0 {
+			cursor[o] = end
+			end += c
+			u.groups = append(u.groups, obsGroup{o: o, end: end})
+		}
+	}
+	if cap(u.terms) < end {
+		u.terms = make([]term, end)
+	}
+	terms := u.terms[:end]
+	for s := 0; s < n; s++ {
+		if ps := u.pred[s]; ps != 0 {
+			os, qs := obs.RowSlice(s)
+			for k, o := range os {
+				if w := ps * qs[k]; w != 0 {
+					terms[cursor[o]] = term{s: s, w: w}
+					cursor[o]++
+				}
 			}
 		}
+	}
+	// b^{π,a,o} = argmax_i score_i(o).
+	for i := 0; i < u.set.Size(); i++ {
+		plane := u.set.row(i)
+		lo := 0
+		for g := range u.groups {
+			grp := &u.groups[g]
+			v := 0.0
+			for _, t := range terms[lo:grp.end] {
+				v += t.w * plane[t.s]
+			}
+			lo = grp.end
+			if i == 0 || v > grp.top {
+				grp.top, grp.sel = v, i
+			}
+		}
+	}
+	for o := range u.sel {
+		u.sel[o] = 0
+	}
+	for _, grp := range u.groups {
+		u.sel[grp.o] = grp.sel
 	}
 	// g(s') = Σ_o q(o|s',a)·b_{a,o}(s').
-	u.g.Fill(0)
 	for s := 0; s < n; s++ {
-		p.Obs[a].Row(s, func(o int, q float64) {
-			u.g[s] += q * u.set.at(u.sel[o], s)
-		})
+		os, qs := obs.RowSlice(s)
+		g := 0.0
+		for k, o := range os {
+			g += qs[k] * u.set.at(u.sel[o], s)
+		}
+		u.g[s] = g
 	}
 	// b_a = r(a) + β·P(a)·g.
 	p.M.Trans[a].MulVec(u.cand, u.g)

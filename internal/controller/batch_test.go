@@ -251,3 +251,79 @@ func TestDecideBatchValidation(t *testing.T) {
 		t.Error("wrong-length belief accepted")
 	}
 }
+
+// TestSequentialDecideAllocatesNothing: Choose is the batched tree over a
+// batch of one, so a sequential Bounded.Decide reuses the engine's level
+// arenas and its own root result and allocates nothing in steady state — at
+// every depth, and with online bound improvement once the updates at the
+// belief stop adding planes.
+func TestSequentialDecideAllocatesNothing(t *testing.T) {
+	f := newFixture(t)
+	pi := batchBeliefs(rng.New(13), 1, f.term.NumStates())[0]
+	for _, depth := range []int{1, 2, 3} {
+		for _, improve := range []bool{false, true} {
+			set, err := bounds.RASet(f.term, bounds.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := NewBounded(f.term, set, BoundedConfig{
+				Depth: depth, TerminateAction: f.idx.Action, NullStates: []int{0}, ImproveOnline: improve,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctrl.Reset(pi); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				if _, err := ctrl.Decide(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := ctrl.Decide(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("depth %d improve=%v: Decide allocates %v times per call", depth, improve, allocs)
+			}
+		}
+	}
+}
+
+// TestChooseIntoMatchesChoose: the result-reusing entry point returns
+// Choose's result exactly and keeps the caller's QValues storage.
+func TestChooseIntoMatchesChoose(t *testing.T) {
+	f := newFixture(t)
+	engine, err := NewEngine(f.term, 2, 1, f.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res pomdp.BackupResult
+	for j, pi := range batchBeliefs(rng.New(17), 8, f.term.NumStates()) {
+		want, err := engine.Choose(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.ChooseInto(pi, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, res) {
+			t.Errorf("belief %d: ChooseInto %+v, Choose %+v", j, res, want)
+		}
+		if &res.QValues[0] == &want.QValues[0] {
+			t.Errorf("belief %d: Choose returned the engine's scratch", j)
+		}
+	}
+	q := &res.QValues[0]
+	if err := engine.ChooseInto(pomdp.UniformBelief(f.term.NumStates()), &res); err != nil {
+		t.Fatal(err)
+	}
+	if &res.QValues[0] != q {
+		t.Error("ChooseInto reallocated the caller's QValues")
+	}
+	if err := engine.ChooseInto(pomdp.Belief{1}, &res); err == nil {
+		t.Error("wrong-length belief accepted")
+	}
+}

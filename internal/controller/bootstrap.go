@@ -84,6 +84,7 @@ type Bootstrapper struct {
 	set     *bounds.Set
 	updater *bounds.Updater
 	engine  *Engine
+	res     pomdp.BackupResult // root backup scratch, reused across steps
 	cfg     BootstrapConfig
 	stream  *rng.Stream
 	sc      *pomdp.Scratch
@@ -131,7 +132,7 @@ func NewBootstrapper(p *pomdp.POMDP, set *bounds.Set, cfg BootstrapConfig, strea
 	if err != nil {
 		return nil, err
 	}
-	engine, err := NewEngine(p, cfg.Depth, cfg.Beta, set.AsValueFn())
+	engine, err := NewEngine(p, cfg.Depth, cfg.Beta, set)
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +212,10 @@ func (b *Bootstrapper) Iterate() (IterationStats, error) {
 		if _, err := b.updater.UpdateAt(belief); err != nil {
 			return IterationStats{}, err
 		}
-		res, err := b.engine.Choose(belief)
-		if err != nil {
+		if err := b.engine.ChooseInto(belief, &b.res); err != nil {
 			return IterationStats{}, err
 		}
+		res := &b.res
 		if b.cfg.TerminateAction >= 0 && res.Action == b.cfg.TerminateAction {
 			break
 		}

@@ -51,6 +51,8 @@ type Bounded struct {
 	updater *bounds.Updater
 	nullSet []int
 
+	res pomdp.BackupResult // root backup of the last sequential decision
+
 	// DecideBatch scratch, reused across calls.
 	batchIdx []int
 	batchPis []pomdp.Belief
@@ -177,14 +179,13 @@ func (b *Bounded) decideAt(pi pomdp.Belief) (Decision, error) {
 	if b.cfg.CollectStats {
 		before = b.engine.Counters()
 	}
-	res, err := b.engine.Choose(pi)
-	if err != nil {
+	if err := b.engine.ChooseInto(pi, &b.res); err != nil {
 		return Decision{}, err
 	}
-	d := b.toDecision(&res)
+	d := b.toDecision(&b.res)
 	if b.cfg.CollectStats {
 		after := b.engine.Counters()
-		b.statsQ = append(b.statsQ[:0], res.QValues...)
+		b.statsQ = append(b.statsQ[:0], b.res.QValues...)
 		st := b.statsFor(pi, d, b.statsQ)
 		st.TreeNodes = after.Nodes - before.Nodes
 		st.LeafEvals = after.LeafEvals - before.LeafEvals

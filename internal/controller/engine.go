@@ -13,14 +13,14 @@ import (
 // leaf evaluator (a lower bound or a heuristic) supplying the remaining
 // reward at the frontier.
 //
-// Besides the per-belief Choose, the engine offers ChooseBatch, which
-// expands the tree for a whole batch of beliefs at once: each tree level
+// There is one tree: ChooseBatch expands it for a whole batch of beliefs at
+// once, and Choose is ChooseBatch over a batch of one. Each tree level
 // shares one successor arena across the batch and, when the leaf implements
-// pomdp.BatchValueFn, evaluates the entire frontier with a single batched
-// call. Per-belief results are bit-identical to Choose — the engine
-// preserves the sequential per-action, per-observation floating-point
-// accumulation order for every belief — so the two entry points are freely
-// interchangeable.
+// pomdp.BatchValueFn, evaluates the frontier of each action with a single
+// batched call. The per-belief floating-point accumulation order is that of
+// pomdp.Backup applied recursively — reward first, then successors in
+// ascending observation order, actions compared in ascending order — so a
+// belief's result does not depend on the batch it was expanded in.
 type Engine struct {
 	p         *pomdp.POMDP
 	beta      float64
@@ -31,6 +31,9 @@ type Engine struct {
 
 	levels   []*batchLevel // reusable per-depth expansion state
 	rootVals []float64     // root value scratch for ChooseBatch
+
+	one    [1]pomdp.Belief       // ChooseInto's batch of one
+	oneRes [1]pomdp.BackupResult // and its result
 
 	ctr EngineCounters // monotone work counters; see Counters
 }
@@ -74,12 +77,23 @@ func (e *Engine) Depth() int { return e.depth }
 func (e *Engine) Counters() EngineCounters { return e.ctr }
 
 // Choose expands the tree at belief π and returns the root backup: the
-// maximizing action, its value, and all root Q-values.
+// maximizing action, its value, and all root Q-values (a fresh slice the
+// caller owns). It is ChooseBatch over a batch of one.
 func (e *Engine) Choose(pi pomdp.Belief) (pomdp.BackupResult, error) {
-	e.ctr.Nodes++
-	return pomdp.Backup(e.p, e.sc, pi, e.beta, pomdp.ValueFunc(func(b pomdp.Belief) float64 {
-		return e.evaluate(b, e.depth-1)
-	}))
+	var res pomdp.BackupResult
+	err := e.ChooseInto(pi, &res)
+	return res, err
+}
+
+// ChooseInto is Choose writing into res, reusing res.QValues when its
+// capacity allows, so a caller that keeps one result across decisions
+// expands the tree without allocating.
+func (e *Engine) ChooseInto(pi pomdp.Belief, res *pomdp.BackupResult) error {
+	e.one[0], e.oneRes[0] = pi, *res
+	err := e.ChooseBatch(e.one[:], e.oneRes[:])
+	*res = e.oneRes[0]
+	e.one[0], e.oneRes[0] = nil, pomdp.BackupResult{}
+	return err
 }
 
 // ChooseBatch expands the tree at every belief in pis and writes the root
@@ -117,27 +131,6 @@ func (e *Engine) Value(pi pomdp.Belief) (float64, error) {
 	return res.Value, nil
 }
 
-// evaluate computes the Max-Avg value with `remaining` further expansions.
-// The shared scratch is safe across recursion levels: Backup consumes it
-// fully inside Successors before any leaf evaluation runs, and successor
-// beliefs are freshly allocated.
-func (e *Engine) evaluate(pi pomdp.Belief, remaining int) float64 {
-	if remaining == 0 {
-		e.ctr.LeafEvals++
-		return e.leaf.Value(pi)
-	}
-	e.ctr.Nodes++
-	res, err := pomdp.Backup(e.p, e.sc, pi, e.beta, pomdp.ValueFunc(func(b pomdp.Belief) float64 {
-		return e.evaluate(b, remaining-1)
-	}))
-	if err != nil {
-		// Backup only fails on malformed inputs, which NewEngine and the
-		// recursion structure rule out; surface loudly if it ever happens.
-		panic(fmt.Sprintf("controller: internal backup failure: %v", err))
-	}
-	return res.Value
-}
-
 // level returns the reusable expansion state for tree level lvl, growing
 // the level list on first use.
 func (e *Engine) level(lvl int) *batchLevel {
@@ -153,10 +146,10 @@ func (e *Engine) level(lvl int) *batchLevel {
 // action into res. For each action the whole batch's successors are
 // enumerated into one arena and the next level (or the leaf bound) is
 // evaluated over that frontier in a single pass; the per-belief
-// floating-point accumulation order is exactly the sequential engine's
-// (reward first, then successors in ascending observation order, actions
-// compared in ascending order), which is what makes the results
-// bit-identical to Choose.
+// floating-point accumulation order is pomdp.Backup's (reward first, then
+// successors in ascending observation order, actions compared in ascending
+// order), which is what makes a belief's result independent of the batch it
+// is expanded in.
 func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, vals []float64, res []pomdp.BackupResult) {
 	f := e.level(lvl)
 	m := len(pis)

@@ -132,6 +132,7 @@ func CompileFSC(p *pomdp.POMDP, set *bounds.Set, roots []pomdp.Belief, cfg FSCCo
 
 	sc := pomdp.NewScratch(p)
 	nullSet := pomdp.SortedStates(cfg.NullStates)
+	var res pomdp.BackupResult
 	// The node slice doubles as the BFS queue: nodes are appended as their
 	// beliefs are discovered and expanded in index order, so the cheapest
 	// (shallowest) beliefs win the budget.
@@ -151,8 +152,7 @@ func CompileFSC(p *pomdp.POMDP, set *bounds.Set, roots []pomdp.Belief, cfg FSCCo
 			d = Decision{Terminate: true, Value: 0}
 			gap = d.Value - set.Peek(pi)
 		} else {
-			res, err := engine.Choose(pi)
-			if err != nil {
+			if err := engine.ChooseInto(pi, &res); err != nil {
 				return nil, fmt.Errorf("controller: fsc compile decide at node %d: %w", i, err)
 			}
 			d = decisionFromBackup(&res, cfg.TerminateAction)

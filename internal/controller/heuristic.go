@@ -36,6 +36,7 @@ type Heuristic struct {
 	beliefTracker
 	cfg       HeuristicConfig
 	engine    *Engine
+	res       pomdp.BackupResult // root backup scratch, reused across decisions
 	nullSet   []int
 	worstCost float64
 }
@@ -97,9 +98,8 @@ func (h *Heuristic) Decide() (Decision, error) {
 	if h.belief.Mass(h.nullSet) >= h.cfg.TerminationProbability {
 		return Decision{Terminate: true}, nil
 	}
-	res, err := h.engine.Choose(h.belief)
-	if err != nil {
+	if err := h.engine.ChooseInto(h.belief, &h.res); err != nil {
 		return Decision{}, err
 	}
-	return Decision{Action: res.Action, Value: res.Value}, nil
+	return Decision{Action: h.res.Action, Value: h.res.Value}, nil
 }

@@ -37,3 +37,32 @@ func DotUnrolled(x, y []float64) float64 {
 	}
 	return dotKernel(x, y)
 }
+
+// DotSupport computes the inner product of x and y over the index set sup,
+// which must list (in ascending order) every index at which x is nonzero:
+// Σ_{i∈sup} x[i]·y[i]. It feeds the same single accumulator as dotKernel,
+// starting from +0 and adding terms in ascending index order, so for every
+// finite y it is bit-identical to DotUnrolled(x, y):
+//
+//   - The terms dotKernel adds and DotSupport skips are x[i]·y[i] with
+//     x[i] = ±0; since y[i] is finite each is an exact ±0 (never NaN).
+//   - The accumulator is never −0: it starts at +0, and in round-to-nearest
+//     a sum is −0 only when both addends are −0. A product that underflows
+//     to −0 (1e-300 · −1e-300) has a nonzero x[i], so it is in sup and both
+//     kernels add it.
+//   - Adding ±0 to an accumulator that is not −0 returns it unchanged, bit
+//     for bit, so the skipped terms leave every partial sum as it was.
+//
+// The bounds package guarantees finite y by rejecting non-finite planes at
+// every entry point (NewSet, Add, UnmarshalJSON). A NaN in x is nonzero, so
+// it stays in sup and propagates exactly as in the dense kernel. It panics
+// on an index of sup outside either slice; it is small enough to inline
+// into the plane scans, where the call would otherwise cost as much as the
+// one or two products of a typical successor belief.
+func DotSupport(x, y []float64, sup []int) float64 {
+	var s float64
+	for _, i := range sup {
+		s += x[i] * y[i]
+	}
+	return s
+}

@@ -28,8 +28,9 @@ type BackupResult struct {
 
 // Backup applies the belief-MDP dynamic-programming operator L_p of
 // Equation 2 once at belief π, using leaf to evaluate the successor beliefs.
-// It is the depth-one building block of the controller's Max-Avg recursion
-// tree and of the Property 1(b) check V_B⁻ ≤ L_p V_B⁻.
+// It defines the per-belief accumulation order of the controller's Max-Avg
+// tree (whose arena-based expansion reproduces it bit for bit) and is the
+// Property 1(b) check V_B⁻ ≤ L_p V_B⁻.
 func Backup(p *POMDP, sc *Scratch, pi Belief, beta float64, leaf ValueFn) (BackupResult, error) {
 	return BackupInto(p, sc, pi, beta, leaf, nil)
 }

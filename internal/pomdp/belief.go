@@ -165,9 +165,9 @@ type Successor struct {
 }
 
 // Successors enumerates, for action a taken in belief π, every observation
-// with positive probability together with its posterior belief. This is the
-// branching step of the Max-Avg recursion tree (Figure 1(b)) and of the
-// incremental bound update (Equation 7).
+// with positive probability together with its posterior belief: the
+// branching step of the Max-Avg recursion tree (Figure 1(b)), which the
+// tree itself takes through the allocation-free AppendSuccessors.
 func (p *POMDP) Successors(sc *Scratch, pi Belief, a int) []Successor {
 	p.Predict(sc.pred, pi, a)
 	n, no := p.NumStates(), p.NumObservations()
