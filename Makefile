@@ -33,9 +33,10 @@ docs-check:
 	sh scripts/check-metrics.sh
 
 # Campaign-engine equality, determinism, and partial-result tests under the
-# race detector — the fast gate for changes to internal/sim.
+# race detector at several core counts — the fast gate for changes to
+# internal/sim.
 test-campaign:
-	$(GO) test -race -run 'Unified|Parallel|Campaign|Sequential' ./internal/sim/
+	$(GO) test -race -cpu 1,2,4 -run 'Unified|Parallel|Campaign|Sequential' ./internal/sim/
 
 # Fleet and chaos suite under the race detector: ring/membership unit tests,
 # server-side redirect/adoption tests, client failover, and the node-kill
@@ -67,12 +68,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFSCDecode -fuzztime=10s ./internal/controller
 
 # The full gate: formatting, vet, the docs gate, the complete test suite
-# (chaos campaign included) under the race detector, the FSC
-# campaign-equality gate, the benchmark module's tests, and the fuzz smoke.
+# (chaos campaign included) under the race detector at 1, 2 and 4 cores,
+# the FSC campaign-equality gate, the benchmark module's tests, and the
+# fuzz smoke.
 check: fmt
 	$(GO) vet ./...
 	$(MAKE) docs-check
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./...
 	$(MAKE) test-fsc
 	$(MAKE) test-e2ebench
 	$(MAKE) fuzz-smoke

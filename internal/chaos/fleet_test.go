@@ -139,8 +139,7 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 	killFired := false
 	adopted := 0
 	remote, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(campaignSeed), sim.CampaignOptions{
-		// Workers pinned to 1: exact equality against the sequential baseline
-		// needs the sequential fold order.
+		// One worker: the kill bookkeeping the factory shares is unsynchronized.
 		Workers:         1,
 		ContinueOnError: true,
 		EpisodeFactory: func(episode int) (controller.Controller, func(error), error) {

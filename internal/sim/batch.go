@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"bpomdp/internal/controller"
@@ -80,40 +79,29 @@ type batchEpisode struct {
 	res    EpisodeResult
 }
 
-// doneEpisode is a completed episode's result held by value until the
-// index-ordered fold, so the batchEpisode object can be recycled the moment
-// the episode terminates.
-type doneEpisode struct {
-	index int
-	res   EpisodeResult
-}
-
 // runWorkerBatched is runWorker's batched-stepping twin: it keeps up to
-// opts.BatchSize episodes of worker w's stripe live at once and advances
-// all of them with one BatchDecider call per round. Episode trajectories
-// are bit-identical to sequential stepping — per-episode RNG streams are
+// BatchSize episodes of worker w's stripe live at once and advances all of
+// them with one BatchDecider call per round. Episode trajectories are
+// bit-identical to sequential stepping — per-episode RNG streams are
 // derived the same way, the belief filters perform the same updates, and
-// DecideBatch is contractually bit-identical to Decide — and the completed
-// episodes are folded into the aggregate in episode-index order, so the
-// resulting CampaignResult (wall-clock AlgoTime aside) is exactly the
-// sequential worker's.
+// DecideBatch is contractually bit-identical to Decide — and each episode's
+// outcome lands in the same slot, so the folded CampaignResult (wall-clock
+// AlgoTime aside) is exactly the sequential worker's.
 //
-// Error semantics also mirror the sequential worker: with ContinueOnError
-// every failing episode is counted Abandoned; otherwise the failure with
-// the smallest episode index wins (that is the one the sequential loop
-// would have hit), episodes before it drain to completion and are folded,
-// and episodes after it are discarded as never-run. The one necessarily
+// Failures are recorded per episode as in runWorker; live episodes above a
+// recorded campaign failure are dropped as never run. The one necessarily
 // coarser case is a DecideBatch error, which cannot be attributed to a
 // single episode and fails every episode live at that moment.
-func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, initial pomdp.Belief, faultStates []int, episodes int, stream *rng.Stream, opts CampaignOptions) (CampaignResult, error) {
-	var out CampaignResult
+func (c *campaign) runWorkerBatched(w int, ctrl controller.Controller, initial pomdp.Belief) {
+	r := c.r
 	p := r.rm.POMDP
-	bd := opts.BatchDecider
+	bd := c.opts.BatchDecider
 	if bd == nil {
 		bd, _ = ctrl.(controller.BatchDecider)
 	}
 	if bd == nil {
-		return out, fmt.Errorf("sim: batched stepping needs a controller.BatchDecider (set CampaignOptions.BatchDecider or use a batch-capable controller)")
+		c.fail(w, fmt.Errorf("sim: batched stepping needs a controller.BatchDecider (set CampaignOptions.BatchDecider or use a batch-capable controller)"), true)
+		return
 	}
 	// The belief filters must track the decider's state space, not the
 	// simulated base model: the Section 3.1 transforms append termination
@@ -125,7 +113,8 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 		fp = m.Model()
 	}
 	if len(initial) != fp.NumStates() {
-		return out, fmt.Errorf("sim: initial belief length %d does not match the batch decider's %d-state model", len(initial), fp.NumStates())
+		c.fail(w, fmt.Errorf("sim: initial belief length %d does not match the batch decider's %d-state model", len(initial), fp.NumStates()), true)
+		return
 	}
 	name := "batched"
 	if n, ok := bd.(interface{ Name() string }); ok {
@@ -133,7 +122,7 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 	} else if ctrl != nil {
 		name = ctrl.Name()
 	}
-	out.Name = name
+	c.named(w, w, name)
 
 	// Batched decision-stat collection, resolved once per worker.
 	var bss controller.BatchStatsSource
@@ -141,30 +130,19 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 		bss = s
 	}
 
-	batch := opts.BatchSize
+	batch := c.opts.BatchSize
 	obsAction := r.rm.MonitorAction
 	// One update scratch shared by every filter of this worker's stripe.
 	filterScratch := pomdp.NewScratch(fp)
 	live := make([]*batchEpisode, 0, batch)
-	completed := make([]doneEpisode, 0, batch)
 	free := make([]*batchEpisode, 0, batch)
 	beliefs := make([]pomdp.Belief, 0, batch)
 	decisions := make([]controller.Decision, batch)
 	next := w // next episode index of this worker's stripe
-	fatalIdx, fatalErr := -1, error(nil)
+	episodes := len(c.outcomes)
 
-	// fail records one episode's failure with the sequential worker's
-	// semantics: Abandoned under ContinueOnError, else the smallest-index
-	// failure becomes the campaign error.
 	fail := func(e *batchEpisode, err error) {
-		err = fmt.Errorf("sim: episode %d (fault %s): %w", e.index, p.M.StateName(e.fault), err)
-		if opts.ContinueOnError {
-			out.Abandoned++
-			return
-		}
-		if fatalIdx < 0 || e.index < fatalIdx {
-			fatalIdx, fatalErr = e.index, err
-		}
+		c.fail(e.index, fmt.Errorf("sim: episode %d (fault %s): %w", e.index, p.M.StateName(e.fault), err), false)
 	}
 	// release returns the episode object (with its stream and filter) to
 	// the arena for the next start to reuse.
@@ -178,9 +156,9 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 	// objects reseed their stream in place, so the steady state allocates
 	// nothing per episode.
 	start := func() {
-		for len(live) < batch && next < episodes && fatalIdx < 0 {
+		for len(live) < batch && next < episodes && !c.stopped(next) {
 			i := next
-			next += workers
+			next += c.workers
 			var e *batchEpisode
 			if len(free) > 0 {
 				e = free[len(free)-1]
@@ -188,8 +166,8 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 			} else {
 				e = &batchEpisode{}
 			}
-			e.stream = stream.SplitNInto(e.stream, "episode", i)
-			fault := faultStates[e.stream.IntN(len(faultStates))]
+			e.stream = c.stream.SplitNInto(e.stream, "episode", i)
+			fault := c.faultStates[e.stream.IntN(len(c.faultStates))]
 			e.index, e.fault, e.state = i, fault, fault
 			e.res = EpisodeResult{Injected: fault}
 			if fault < 0 || fault >= p.NumStates() {
@@ -223,11 +201,11 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 			break
 		}
 		// Step-budget sweep (the sequential loop's condition), plus
-		// discarding episodes a recorded fatal failure proves the
-		// sequential loop would never have started.
+		// dropping episodes above a recorded campaign failure, which the
+		// fold never reaches.
 		kept := live[:0]
 		for _, e := range live {
-			if fatalIdx >= 0 && e.index > fatalIdx {
+			if c.stopped(e.index) {
 				release(e)
 				continue
 			}
@@ -276,7 +254,7 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 			switch {
 			case d.Terminate:
 				e.res.Recovered = r.isNull[e.state]
-				completed = append(completed, doneEpisode{index: e.index, res: e.res})
+				c.complete(e.index, e.res)
 				release(e)
 			case d.Action < 0 || d.Action >= p.NumActions():
 				fail(e, fmt.Errorf("sim: %s chose invalid action %d", name, d.Action))
@@ -298,16 +276,4 @@ func (r *Runner) runWorkerBatched(w, workers int, ctrl controller.Controller, in
 		}
 		live = kept
 	}
-
-	// Fold completed episodes in episode-index order — the accumulator is
-	// floating-point-order sensitive, and index order is the sequential
-	// worker's fold order.
-	sort.Slice(completed, func(i, j int) bool { return completed[i].index < completed[j].index })
-	for i := range completed {
-		if fatalIdx >= 0 && completed[i].index > fatalIdx {
-			continue
-		}
-		out.add(completed[i].res)
-	}
-	return out, fatalErr
 }

@@ -57,10 +57,11 @@ func TestBatchedCampaignMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchedCampaignParallelWorkers pins batched-vs-plain equality at
-// Workers > 1: each worker gets its own batch-capable Bounded from the
-// WorkerFactory, and the merged statistics must match the non-batched
-// campaign at the same worker count.
+// TestBatchedCampaignParallelWorkers pins worker-count and batch-size
+// invariance: each worker gets its own batch-capable Bounded from the
+// WorkerFactory, and since those controllers do not improve their bounds
+// online, every Workers × BatchSize combination (auto-tuned Workers == 0
+// included) must reproduce the one-worker, unbatched campaign to the bit.
 func TestBatchedCampaignParallelWorkers(t *testing.T) {
 	rm, _ := twoServerRecovery(t)
 	runner, err := NewRunner(rm, 500)
@@ -70,19 +71,23 @@ func TestBatchedCampaignParallelWorkers(t *testing.T) {
 	faults := []int{1, 2}
 	const episodes = 48
 
-	run := func(batch int) CampaignResult {
+	run := func(workers, batch int) CampaignResult {
 		res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(53), CampaignOptions{
-			Workers: 2, WorkerFactory: boundedFactory(t, rm), BatchSize: batch,
+			Workers: workers, WorkerFactory: boundedFactory(t, rm), BatchSize: batch,
 		})
 		if err != nil {
-			t.Fatalf("batch size %d: %v", batch, err)
+			t.Fatalf("workers=%d batch size %d: %v", workers, batch, err)
 		}
 		res.AlgoTimeMs = statsAcc{}
 		return res
 	}
-	plain, batched := run(0), run(8)
-	if !reflect.DeepEqual(plain, batched) {
-		t.Errorf("workers=2 batched diverges from plain:\nplain:   %+v\nbatched: %+v", plain, batched)
+	want := run(1, 0)
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		for _, batch := range []int{0, 16} {
+			if got := run(workers, batch); !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d batch size %d diverges from workers=1 unbatched:\nwant: %+v\ngot:  %+v", workers, batch, want, got)
+			}
+		}
 	}
 }
 
@@ -145,7 +150,8 @@ func TestBatchedCampaignTimeoutParity(t *testing.T) {
 
 // TestBatchedCampaignFatalErrorParity: without ContinueOnError, a timeout
 // mid-campaign must surface the same smallest-index failure as the
-// sequential loop, with exactly the episodes before it folded.
+// sequential loop, with exactly the episodes before it folded — batched or
+// not, at every worker count.
 func TestBatchedCampaignFatalErrorParity(t *testing.T) {
 	rm, _ := twoServerRecovery(t)
 	runner, err := NewRunner(rm, 3)
@@ -173,6 +179,37 @@ func TestBatchedCampaignFatalErrorParity(t *testing.T) {
 	seq.AlgoTimeMs, bat.AlgoTimeMs = statsAcc{}, statsAcc{}
 	if !reflect.DeepEqual(seq, bat) {
 		t.Errorf("partial results differ on fatal error:\nseq:     %+v\nbatched: %+v", seq, bat)
+	}
+
+	// An out-of-range fault state fails its episode in every mode, so a
+	// campaign that first draws one mid-way pins the prefix-and-error rule
+	// at every worker count and batch size.
+	runner, err = NewRunner(rm, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBad := []int{1, 2, 1, 2, 1, 2, 1, 99} // first draws 99 at episode 11
+	run := func(workers, batch int) (CampaignResult, error) {
+		res, err := runner.RunCampaignOpts(nil, nil, withBad, episodes, rng.New(71), CampaignOptions{
+			Workers: workers, WorkerFactory: boundedFactory(t, rm), BatchSize: batch,
+		})
+		res.AlgoTimeMs = statsAcc{}
+		return res, err
+	}
+	want, wantErr := run(1, 0)
+	if wantErr == nil || want.Episodes <= 8 {
+		t.Fatalf("fault list %v fails too early to pin a prefix: %d episodes, %v", withBad, want.Episodes, wantErr)
+	}
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		for _, batch := range []int{0, 8} {
+			got, gotErr := run(workers, batch)
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("workers=%d batch size %d: error %v, want %v", workers, batch, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d batch size %d: partial results differ:\nwant: %+v\ngot:  %+v", workers, batch, want, got)
+			}
+		}
 	}
 }
 
@@ -234,6 +271,7 @@ func TestBatchOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"negative batch", CampaignOptions{BatchSize: -1}, "negative batch size"},
+		{"negative workers", CampaignOptions{Workers: -1}, "negative worker count"},
 		{"episode factory", CampaignOptions{BatchSize: 4, EpisodeFactory: func(int) (controller.Controller, func(error), error) {
 			return ctrl, nil, nil
 		}}, "incompatible with EpisodeFactory"},

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bpomdp/internal/controller"
@@ -63,38 +63,16 @@ func (c *CampaignResult) add(res EpisodeResult) {
 	}
 }
 
-// merge folds another worker's aggregate into c (exact parallel-variance
-// combination via stats.Accumulator.Merge).
-func (c *CampaignResult) merge(o *CampaignResult) {
-	if c.Name == "" {
-		c.Name = o.Name
-	}
-	c.Episodes += o.Episodes
-	c.Recovered += o.Recovered
-	c.Abandoned += o.Abandoned
-	c.Cost.Merge(&o.Cost)
-	c.RecoveryTime.Merge(&o.RecoveryTime)
-	c.ResidualTime.Merge(&o.ResidualTime)
-	c.AlgoTimeMs.Merge(&o.AlgoTimeMs)
-	c.Actions.Merge(&o.Actions)
-	c.MonitorCalls.Merge(&o.MonitorCalls)
-	c.Decisions += o.Decisions
-	c.TreeNodes += o.TreeNodes
-	c.LeafEvals += o.LeafEvals
-	c.SlabPasses += o.SlabPasses
-	c.BoundGap.Merge(&o.BoundGap)
-	c.BeliefEntropy.Merge(&o.BeliefEntropy)
-	c.FSCDecisions += o.FSCDecisions
-	c.TreeDecisions += o.TreeDecisions
-}
-
 // ControllerFactory builds an independent controller (and its initial
 // belief) for one worker. Controllers are stateful and not safe for
 // concurrent use, so the parallel campaign gives each worker its own.
 type ControllerFactory func() (controller.Controller, pomdp.Belief, error)
 
 // CampaignOptions tunes RunCampaignOpts. The zero value runs the campaign
-// sequentially with a shared controller — the classic Table 1 loop.
+// with the shared controller on the calling goroutine, one episode at a
+// time — the classic Table 1 loop. Workers and BatchSize are throughput
+// knobs only: every mode folds the same episode outcomes in episode-index
+// order (see RunCampaignOpts), so neither changes the CampaignResult.
 type CampaignOptions struct {
 	// ContinueOnError records a failed episode as Abandoned and moves on to
 	// the next injection instead of aborting the campaign — the right mode
@@ -105,23 +83,18 @@ type CampaignOptions struct {
 	// (e.g. a new remote episode from a client); ctrl passed to the
 	// campaign is ignored. The second return value, when non-nil, is called
 	// after the episode with its error (nil on success) — a cleanup hook
-	// for abandoning remote episodes. With Workers > 1 the factory is called
-	// concurrently from worker goroutines and must be safe for that.
+	// for abandoning remote episodes. With more than one worker the factory
+	// is called concurrently from worker goroutines and must be safe for
+	// that.
 	EpisodeFactory func(episode int) (controller.Controller, func(error), error)
-	// Workers is the number of campaign goroutines; 1 runs the campaign
-	// sequentially on the calling goroutine. Episode i is assigned to
-	// worker i mod Workers and uses the same derived RNG stream at any
-	// worker count, so for a fixed Workers value the campaign is exactly
-	// reproducible; the merged statistics with Workers == 1 are bit-for-bit
-	// the sequential result.
+	// Workers is the number of campaign goroutines, one of them the calling
+	// goroutine; episode i is run by worker i mod Workers. A negative count
+	// is rejected.
 	//
 	// Workers == 0 auto-tunes: when a WorkerFactory or EpisodeFactory makes
 	// parallel execution possible, the count is picked from the episode
 	// count and GOMAXPROCS (never more than one worker per four episodes,
-	// never more than GOMAXPROCS); with only a shared controller it stays
-	// sequential. Auto-tuned campaigns are reproducible only on a fixed
-	// GOMAXPROCS — pass an explicit count when determinism across machines
-	// matters.
+	// never more than GOMAXPROCS); with only a shared controller it is one.
 	Workers int
 	// WorkerFactory supplies each worker's private controller and initial
 	// belief. Required when Workers > 1 and no EpisodeFactory is set: a
@@ -131,12 +104,10 @@ type CampaignOptions struct {
 	// BatchSize episodes live at once and advances them together through
 	// one BatchDecider call per round, amortizing tree expansion and
 	// leaf-bound evaluation across the batch. Per-episode RNG streams,
-	// trajectories, and metrics are bit-identical to sequential stepping
-	// (each worker folds its completed episodes in episode-index order),
-	// so BatchSize is purely a throughput knob. Batched stepping drives
-	// bare belief filters instead of the episode controller, so it is
-	// incompatible with EpisodeFactory and does not feed StateAware
-	// controllers.
+	// trajectories, and metrics are bit-identical to sequential stepping.
+	// Batched stepping drives bare belief filters instead of the episode
+	// controller, so it is incompatible with EpisodeFactory and does not
+	// feed StateAware controllers. A negative size is rejected.
 	BatchSize int
 	// BatchDecider supplies the decision engine for batched stepping. When
 	// nil, the worker's controller (shared ctrl or WorkerFactory product)
@@ -156,14 +127,26 @@ func (r *Runner) RunCampaign(ctrl controller.Controller, initial pomdp.Belief, f
 }
 
 // RunCampaignOpts is the campaign engine: RunCampaign plus per-episode
-// controller factories, error tolerance, and multi-worker execution (see
-// CampaignOptions). The sequential path is simply Workers == 1.
+// controller factories, error tolerance, multi-worker execution and
+// batched stepping (see CampaignOptions).
 //
-// Error handling is uniform across worker counts: without ContinueOnError a
-// failing episode stops the campaign, but the CampaignResult still carries
-// every episode completed before the failure (partial results are never
-// discarded), and the returned error joins every worker's failure via
-// errors.Join rather than surfacing an arbitrary first one.
+// Every mode records each episode's outcome — a result, a failure, or
+// not run — in a slot indexed by episode number, and folds the slots once,
+// in index order, after the workers join. Episode i draws the same derived
+// RNG stream in every mode, so the CampaignResult (the wall-clock
+// AlgoTimeMs aside) does not depend on Workers, BatchSize or GOMAXPROCS —
+// provided an episode's result does not depend on the episodes its
+// controller ran before, as with an EpisodeFactory or controllers that do
+// not adapt. A WorkerFactory of adaptive controllers (online bound
+// improvement) learns along its own stripe of episodes, so such a campaign
+// is reproducible only for a fixed worker count.
+//
+// With ContinueOnError a failed episode counts as Abandoned. Otherwise the
+// campaign fails at its lowest failing episode index: the result holds
+// exactly the episodes before it, and the error is that episode's. Workers
+// stop starting episodes above the lowest failure seen so far. A
+// WorkerFactory error fails the campaign at the worker's first episode
+// index, even under ContinueOnError.
 func (r *Runner) RunCampaignOpts(ctrl controller.Controller, initial pomdp.Belief, faultStates []int, episodes int, stream *rng.Stream, opts CampaignOptions) (CampaignResult, error) {
 	var out CampaignResult
 	if ctrl != nil {
@@ -178,6 +161,9 @@ func (r *Runner) RunCampaignOpts(ctrl controller.Controller, initial pomdp.Belie
 	if ctrl == nil && opts.EpisodeFactory == nil && opts.WorkerFactory == nil && opts.BatchDecider == nil {
 		return out, fmt.Errorf("sim: nil controller and no episode or worker factory")
 	}
+	if opts.Workers < 0 {
+		return out, fmt.Errorf("sim: negative worker count %d", opts.Workers)
+	}
 	if opts.BatchSize < 0 {
 		return out, fmt.Errorf("sim: negative batch size %d", opts.BatchSize)
 	}
@@ -188,135 +174,195 @@ func (r *Runner) RunCampaignOpts(ctrl controller.Controller, initial pomdp.Belie
 		return out, fmt.Errorf("sim: BatchDecider set without a positive BatchSize")
 	}
 	workers := opts.Workers
-	if workers == 0 && (opts.WorkerFactory != nil || opts.EpisodeFactory != nil) {
-		workers = autoWorkers(episodes, runtime.GOMAXPROCS(0))
-	}
-	if workers < 1 {
+	if workers == 0 {
 		workers = 1
+		if opts.WorkerFactory != nil || opts.EpisodeFactory != nil {
+			workers = autoWorkers(episodes, runtime.GOMAXPROCS(0))
+		}
 	}
-	if workers > episodes {
-		workers = episodes
-	}
+	workers = min(workers, episodes)
 	if workers > 1 && opts.BatchDecider != nil {
 		return out, fmt.Errorf("sim: shared batch decider cannot run %d workers; use a WorkerFactory of batch-capable controllers", workers)
 	}
-
-	if workers == 1 {
-		if opts.WorkerFactory != nil && opts.EpisodeFactory == nil {
-			c, ini, err := opts.WorkerFactory()
-			if err != nil {
-				return out, fmt.Errorf("sim: worker 0 factory: %w", err)
-			}
-			ctrl, initial = c, ini
-			out.Name = ctrl.Name()
-		}
-		res, err := r.runWorker(0, 1, ctrl, initial, faultStates, episodes, stream, opts)
-		res.Name = firstNonEmpty(res.Name, out.Name)
-		return res, err
-	}
-
-	if opts.EpisodeFactory == nil && opts.WorkerFactory == nil {
+	if workers > 1 && opts.EpisodeFactory == nil && opts.WorkerFactory == nil {
 		return out, fmt.Errorf("sim: shared controller cannot run %d workers; set WorkerFactory or EpisodeFactory", workers)
 	}
 
-	results := make([]CampaignResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wCtrl, wInitial := ctrl, initial
-			if opts.WorkerFactory != nil && opts.EpisodeFactory == nil {
-				c, ini, err := opts.WorkerFactory()
-				if err != nil {
-					errs[w] = fmt.Errorf("sim: worker %d factory: %w", w, err)
-					return
-				}
-				wCtrl, wInitial = c, ini
+	c := &campaign{
+		r: r, faultStates: faultStates, workers: workers, stream: stream, opts: opts,
+		outcomes: make([]episodeOutcome, episodes),
+		names:    make([]workerName, workers),
+	}
+	c.failAt.Store(int64(episodes))
+	run := func(w int) {
+		wCtrl, wInitial := ctrl, initial
+		if opts.WorkerFactory != nil && opts.EpisodeFactory == nil {
+			fc, fi, err := opts.WorkerFactory()
+			if err != nil {
+				c.fail(w, fmt.Errorf("sim: worker %d factory: %w", w, err), true)
+				return
 			}
-			results[w], errs[w] = r.runWorker(w, workers, wCtrl, wInitial, faultStates, episodes, stream, opts)
-		}(w)
+			wCtrl, wInitial = fc, fi
+		}
+		if opts.BatchSize > 0 {
+			c.runWorkerBatched(w, wCtrl, wInitial)
+		} else {
+			c.runWorker(w, wCtrl, wInitial)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
 	wg.Wait()
-
-	for w := range results {
-		out.merge(&results[w])
-	}
-	return out, errors.Join(errs...)
-}
-
-// firstNonEmpty returns a if non-empty, else b.
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
+	err := c.fold(&out)
+	return out, err
 }
 
 // autoWorkers picks the worker count for Workers == 0: one worker per four
 // episodes (a worker with fewer episodes spends more time starting up than
 // simulating), capped at GOMAXPROCS, and never below one.
 func autoWorkers(episodes, procs int) int {
-	w := episodes / 4
-	if w < 1 {
-		w = 1
+	return max(1, min(episodes/4, procs))
+}
+
+// outcomeKind is what became of one campaign episode.
+type outcomeKind uint8
+
+const (
+	notRun outcomeKind = iota
+	completed
+	abandoned
+	failed
+)
+
+// episodeOutcome is one episode's slot in the campaign fold.
+type episodeOutcome struct {
+	kind outcomeKind
+	err  error // the failure, when kind == failed
+	res  EpisodeResult
+}
+
+// workerName is the controller name a worker ran under and the index of
+// the first episode it ran under it.
+type workerName struct {
+	name string
+	at   int
+}
+
+// campaign is the state one RunCampaignOpts call shares with its workers.
+// Only the worker that owns an episode index writes that index's outcome
+// slot, so the slots need no lock; failAt, the lowest failing index so far
+// (len(outcomes) while there is none), is the one shared write.
+type campaign struct {
+	r           *Runner
+	faultStates []int
+	workers     int
+	stream      *rng.Stream
+	opts        CampaignOptions
+	outcomes    []episodeOutcome
+	names       []workerName // per worker
+	failAt      atomic.Int64
+}
+
+// complete records episode i's result.
+func (c *campaign) complete(i int, res EpisodeResult) {
+	c.outcomes[i] = episodeOutcome{kind: completed, res: res}
+}
+
+// fail records episode i's failure: Abandoned under ContinueOnError unless
+// fatal, else a campaign failure that stops every worker from starting an
+// episode above i.
+func (c *campaign) fail(i int, err error, fatal bool) {
+	if c.opts.ContinueOnError && !fatal {
+		c.outcomes[i].kind = abandoned
+		return
 	}
-	if w > procs {
-		w = procs
+	c.outcomes[i] = episodeOutcome{kind: failed, err: err}
+	for {
+		cur := c.failAt.Load()
+		if int64(i) >= cur || c.failAt.CompareAndSwap(cur, int64(i)) {
+			return
+		}
 	}
-	return w
+}
+
+// stopped reports whether episode i lies above a recorded campaign failure
+// and so must not start.
+func (c *campaign) stopped(i int) bool { return int64(i) > c.failAt.Load() }
+
+// named records that worker w ran episode i under the named controller; a
+// worker keeps the first name it reports.
+func (c *campaign) named(w, i int, name string) {
+	if c.names[w].name == "" {
+		c.names[w] = workerName{name: name, at: i}
+	}
+}
+
+// fold reduces the outcome slots in episode-index order into out and
+// returns the campaign error, if any. The campaign is named after the
+// controller of its lowest-index episode at or before the failure.
+func (c *campaign) fold(out *CampaignResult) error {
+	failAt := int(c.failAt.Load())
+	best := -1
+	for w, n := range c.names {
+		if n.name != "" && n.at <= failAt && (best < 0 || n.at < c.names[best].at) {
+			best = w
+		}
+	}
+	if best >= 0 {
+		out.Name = c.names[best].name
+	}
+	for i := range c.outcomes {
+		switch o := &c.outcomes[i]; o.kind {
+		case completed:
+			out.add(o.res)
+		case abandoned:
+			out.Abandoned++
+		case failed:
+			return o.err
+		}
+	}
+	return nil
 }
 
 // runWorker runs worker w's stripe of the campaign — episodes w, w+workers,
-// w+2·workers, … — sequentially on the calling goroutine. It is the single
-// episode loop behind every campaign mode: the sequential engine is exactly
-// runWorker(0, 1, …). On a fatal episode error it stops its own stripe and
-// returns the partial aggregate alongside the error; other workers finish
-// their stripes, so the merged partial result of a failing campaign is
-// itself deterministic for a fixed worker count.
-func (r *Runner) runWorker(w, workers int, ctrl controller.Controller, initial pomdp.Belief, faultStates []int, episodes int, stream *rng.Stream, opts CampaignOptions) (CampaignResult, error) {
-	if opts.BatchSize > 0 {
-		return r.runWorkerBatched(w, workers, ctrl, initial, faultStates, episodes, stream, opts)
-	}
-	var out CampaignResult
+// w+2·workers, … — one at a time, recording each outcome in its slot. It
+// stops at the first index above a recorded campaign failure.
+func (c *campaign) runWorker(w int, ctrl controller.Controller, initial pomdp.Belief) {
 	if ctrl != nil {
-		out.Name = ctrl.Name()
+		c.named(w, w, ctrl.Name())
 	}
-	for i := w; i < episodes; i += workers {
-		ep := stream.SplitN("episode", i)
-		fault := faultStates[ep.IntN(len(faultStates))]
+	for i := w; i < len(c.outcomes) && !c.stopped(i); i += c.workers {
+		ep := c.stream.SplitN("episode", i)
+		fault := c.faultStates[ep.IntN(len(c.faultStates))]
 		epCtrl := ctrl
 		var done func(error)
-		if opts.EpisodeFactory != nil {
-			c, cleanup, err := opts.EpisodeFactory(i)
+		if c.opts.EpisodeFactory != nil {
+			fc, cleanup, err := c.opts.EpisodeFactory(i)
 			if err != nil {
-				if opts.ContinueOnError {
-					out.Abandoned++
-					continue
-				}
-				return out, fmt.Errorf("sim: episode %d factory: %w", i, err)
+				c.fail(i, fmt.Errorf("sim: episode %d factory: %w", i, err), false)
+				continue
 			}
-			epCtrl, done = c, cleanup
-			if out.Name == "" {
-				out.Name = epCtrl.Name()
-			}
+			epCtrl, done = fc, cleanup
+			c.named(w, i, epCtrl.Name())
 		}
-		res, err := r.RunEpisode(epCtrl, initial, fault, ep)
+		res, err := c.r.RunEpisode(epCtrl, initial, fault, ep)
 		if done != nil {
 			done(err)
 		}
 		if err != nil {
-			if opts.ContinueOnError {
-				out.Abandoned++
-				continue
-			}
-			return out, fmt.Errorf("sim: episode %d (fault %s): %w",
-				i, r.rm.POMDP.M.StateName(fault), err)
+			c.fail(i, fmt.Errorf("sim: episode %d (fault %s): %w",
+				i, c.r.rm.POMDP.M.StateName(fault), err), false)
+			continue
 		}
-		out.add(res)
+		c.complete(i, res)
 	}
-	return out, nil
 }
 
 // Row renders the campaign as a Table 1 row: cost, recovery time, residual

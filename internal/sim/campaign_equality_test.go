@@ -124,6 +124,8 @@ func TestUnifiedWorkers1MatchesOldSequentialWithFactoryAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each controller is named after its episode, so the campaign's Name
+	// shows which episode it was taken from: the first, at any worker count.
 	factory := func(i int) (controller.Controller, func(error), error) {
 		if i%4 == 3 {
 			return nil, nil, errors.New("flaky factory")
@@ -131,7 +133,7 @@ func TestUnifiedWorkers1MatchesOldSequentialWithFactoryAndErrors(t *testing.T) {
 		ctrl, err := controller.NewMostLikely(ts.Model, controller.MostLikelyConfig{
 			NullStates: ts.NullStates, TerminationProbability: 0.999,
 		})
-		return ctrl, nil, err
+		return episodeNamed{ctrl, fmt.Sprintf("most-likely#%d", i)}, nil, err
 	}
 	uniform := pomdp.UniformBelief(3)
 	faults := []int{1, 2}
@@ -141,19 +143,30 @@ func TestUnifiedWorkers1MatchesOldSequentialWithFactoryAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 1
-	unified, err := runner.RunCampaignOpts(nil, uniform, faults, 40, rng.New(23), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.AlgoTimeMs, unified.AlgoTimeMs = statsAcc{}, statsAcc{}
-	if !reflect.DeepEqual(old, unified) {
-		t.Errorf("factory/ContinueOnError parity broken:\nold:     %+v\nunified: %+v", old, unified)
-	}
-	if unified.Abandoned != 10 {
-		t.Errorf("abandoned = %d, want 10", unified.Abandoned)
+	old.AlgoTimeMs = statsAcc{}
+	for _, workers := range []int{1, 2, 4, 8} {
+		opts.Workers = workers
+		unified, err := runner.RunCampaignOpts(nil, uniform, faults, 40, rng.New(23), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unified.AlgoTimeMs = statsAcc{}
+		if !reflect.DeepEqual(old, unified) {
+			t.Errorf("workers=%d: factory/ContinueOnError parity broken:\nold:     %+v\nunified: %+v", workers, old, unified)
+		}
+		if unified.Abandoned != 10 {
+			t.Errorf("workers=%d: abandoned = %d, want 10", workers, unified.Abandoned)
+		}
 	}
 }
+
+// episodeNamed renames a controller.
+type episodeNamed struct {
+	controller.Controller
+	name string
+}
+
+func (e episodeNamed) Name() string { return e.name }
 
 func TestUnifiedWorkers4Deterministic(t *testing.T) {
 	rm, ts := twoServerRecovery(t)
@@ -200,10 +213,10 @@ func (decideFailController) Belief() pomdp.Belief   { return nil }
 func (decideFailController) Name() string           { return "decide-fail" }
 
 // TestParallelWorkerErrorPreservesPartialResults is the regression test for
-// the pre-unification data loss: RunCampaignParallel returned
+// the pre-unification data loss, when a parallel campaign returned
 // CampaignResult{} whenever any worker erred — discarding every completed
-// episode — and surfaced only the first worker's error. The unified engine
-// must keep the completed episodes and join all worker errors.
+// episode. A failing campaign must keep the episodes before its lowest
+// failing index, whatever the worker count, and report that episode's error.
 func TestParallelWorkerErrorPreservesPartialResults(t *testing.T) {
 	rm, ts := twoServerRecovery(t)
 	runner, err := NewRunner(rm, 500)
@@ -215,8 +228,8 @@ func TestParallelWorkerErrorPreservesPartialResults(t *testing.T) {
 			NullStates: ts.NullStates, TerminationProbability: 0.999,
 		})
 	}
-	// Episodes 1 and 2 (workers 1 and 2 of 4) fail on their first episode;
-	// workers 0 and 3 complete at least their first episodes.
+	// Episodes 1 and 2 (workers 1 and 2 of 4) fail on their first episode,
+	// so the campaign is the prefix before episode 1.
 	factory := func(i int) (controller.Controller, func(error), error) {
 		if i == 1 || i == 2 {
 			return decideFailController{}, nil, nil
@@ -230,15 +243,14 @@ func TestParallelWorkerErrorPreservesPartialResults(t *testing.T) {
 	if err == nil {
 		t.Fatal("campaign with two failing workers reported success")
 	}
-	if res.Episodes == 0 {
-		t.Fatalf("completed episodes discarded on worker error (the old data-loss bug): %+v", res)
+	if res.Episodes != 1 {
+		t.Fatalf("episodes = %d, want the 1 completed before the lowest failure: %+v", res.Episodes, res)
 	}
 	if res.Episodes != res.Cost.N() {
-		t.Errorf("episodes %d != cost samples %d: partial merge inconsistent", res.Episodes, res.Cost.N())
+		t.Errorf("episodes %d != cost samples %d: partial fold inconsistent", res.Episodes, res.Cost.N())
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "episode 1") || !strings.Contains(msg, "episode 2") {
-		t.Errorf("joined error should name both failing episodes, got: %v", msg)
+	if msg := err.Error(); !strings.Contains(msg, "episode 1") {
+		t.Errorf("error should name the lowest failing episode 1, got: %v", msg)
 	}
 	// With ContinueOnError the same failures become Abandoned counts and the
 	// campaign completes every other episode.
@@ -257,7 +269,8 @@ func TestParallelWorkerErrorPreservesPartialResults(t *testing.T) {
 }
 
 // TestSequentialEpisodeErrorPreservesPartialResults pins the same guarantee
-// on the sequential path (it held before unification too).
+// at every worker count, the sequential one included: the prefix before the
+// failing episode, whatever runs it.
 func TestSequentialEpisodeErrorPreservesPartialResults(t *testing.T) {
 	rm, ts := twoServerRecovery(t)
 	runner, err := NewRunner(rm, 500)
@@ -273,14 +286,16 @@ func TestSequentialEpisodeErrorPreservesPartialResults(t *testing.T) {
 		})
 		return ctrl, nil, err
 	}
-	res, err := runner.RunCampaignOpts(nil, pomdp.UniformBelief(3), []int{1, 2}, 20, rng.New(3), CampaignOptions{
-		EpisodeFactory: factory,
-	})
-	if err == nil {
-		t.Fatal("campaign with failing episode reported success")
-	}
-	if res.Episodes != 5 {
-		t.Errorf("episodes = %d, want the 5 completed before the failure", res.Episodes)
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		res, err := runner.RunCampaignOpts(nil, pomdp.UniformBelief(3), []int{1, 2}, 20, rng.New(3), CampaignOptions{
+			EpisodeFactory: factory, Workers: workers,
+		})
+		if err == nil {
+			t.Fatal("campaign with failing episode reported success")
+		}
+		if res.Episodes != 5 {
+			t.Errorf("episodes = %d, want the 5 completed before the failure", res.Episodes)
+		}
 	}
 }
 

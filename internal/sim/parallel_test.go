@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 
 	"bpomdp/internal/controller"
@@ -33,25 +33,19 @@ func TestRunCampaignParallelMatchesSequentialForStatelessController(t *testing.T
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq.AlgoTimeMs = statsAcc{}
 	for _, workers := range []int{1, 3, 8} {
-		par, err := runner.RunCampaignParallel(factory, []int{1, 2}, episodes, workers, rng.New(5))
+		par, err := runner.RunCampaignOpts(nil, nil, []int{1, 2}, episodes, rng.New(5), CampaignOptions{
+			Workers: workers, WorkerFactory: factory,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if par.Episodes != episodes || par.Recovered != seq.Recovered {
-			t.Errorf("workers=%d: episodes/recovered = %d/%d, want %d/%d",
-				workers, par.Episodes, par.Recovered, episodes, seq.Recovered)
-		}
 		// The most-likely controller carries no cross-episode state, so the
-		// merged statistics must match the sequential run exactly.
-		if math.Abs(par.Cost.Mean()-seq.Cost.Mean()) > 1e-9 {
-			t.Errorf("workers=%d: cost %v != sequential %v", workers, par.Cost.Mean(), seq.Cost.Mean())
-		}
-		if math.Abs(par.Cost.Variance()-seq.Cost.Variance()) > 1e-6 {
-			t.Errorf("workers=%d: variance %v != sequential %v", workers, par.Cost.Variance(), seq.Cost.Variance())
-		}
-		if math.Abs(par.MonitorCalls.Mean()-seq.MonitorCalls.Mean()) > 1e-9 {
-			t.Errorf("workers=%d: monitor calls differ", workers)
+		// index-ordered fold must reproduce the sequential run to the bit.
+		par.AlgoTimeMs = statsAcc{}
+		if !reflect.DeepEqual(par, seq) {
+			t.Errorf("workers=%d diverges from sequential:\nseq:      %+v\nparallel: %+v", workers, seq, par)
 		}
 	}
 }
@@ -82,7 +76,9 @@ func TestRunCampaignParallelBoundedControllers(t *testing.T) {
 		initial, err := prep.InitialBelief()
 		return ctrl, initial, err
 	}
-	res, err := runner.RunCampaignParallel(factory, []int{1, 2}, 40, 4, rng.New(9))
+	res, err := runner.RunCampaignOpts(nil, nil, []int{1, 2}, 40, rng.New(9), CampaignOptions{
+		Workers: 4, WorkerFactory: factory,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +99,29 @@ func TestRunCampaignParallelValidation(t *testing.T) {
 		})
 		return ctrl, pomdp.UniformBelief(3), err
 	}
-	if _, err := runner.RunCampaignParallel(factory, nil, 5, 2, rng.New(1)); err == nil {
+	parallel := func(f ControllerFactory) CampaignOptions {
+		return CampaignOptions{Workers: 2, WorkerFactory: f}
+	}
+	if _, err := runner.RunCampaignOpts(nil, nil, nil, 5, rng.New(1), parallel(factory)); err == nil {
 		t.Error("empty faults accepted")
 	}
-	if _, err := runner.RunCampaignParallel(factory, []int{1}, 0, 2, rng.New(1)); err == nil {
+	if _, err := runner.RunCampaignOpts(nil, nil, []int{1}, 0, rng.New(1), parallel(factory)); err == nil {
 		t.Error("zero episodes accepted")
 	}
-	if _, err := runner.RunCampaignParallel(nil, []int{1}, 5, 2, rng.New(1)); err == nil {
+	if _, err := runner.RunCampaignOpts(nil, nil, []int{1}, 5, rng.New(1), parallel(nil)); err == nil {
 		t.Error("nil factory accepted")
 	}
 	bad := func() (controller.Controller, pomdp.Belief, error) {
 		return nil, nil, errors.New("boom")
 	}
-	if _, err := runner.RunCampaignParallel(bad, []int{1}, 5, 2, rng.New(1)); err == nil {
+	if _, err := runner.RunCampaignOpts(nil, nil, []int{1}, 5, rng.New(1), parallel(bad)); err == nil {
 		t.Error("factory error swallowed")
+	}
+	// A worker without a controller is not an episode-level failure, so
+	// ContinueOnError does not turn it into Abandoned episodes.
+	opts := parallel(bad)
+	opts.ContinueOnError = true
+	if _, err := runner.RunCampaignOpts(nil, nil, []int{1}, 5, rng.New(1), opts); err == nil {
+		t.Error("factory error swallowed under ContinueOnError")
 	}
 }

@@ -59,30 +59,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest sample (0 for an empty accumulator).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Merge folds another accumulator into a (Chan et al.'s parallel variance
-// combination), so per-worker statistics can be combined exactly.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	na, nb := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	total := na + nb
-	a.mean += delta * nb / total
-	a.m2 += b.m2 + delta*delta*na*nb/total
-	a.n += b.n
-}
-
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval of the mean (0 for n < 2).
 func (a *Accumulator) CI95() float64 {
